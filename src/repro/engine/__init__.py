@@ -1,6 +1,6 @@
 """Execution engines: the conventional reference and TaGNN-S."""
 
-from .concurrent import ConcurrentEngine
+from .concurrent import ConcurrentEngine, WindowCarry, WindowResult
 from .metrics import WORD_BYTES, ExecutionMetrics
 from .reference import EngineResult, ReferenceEngine
 from .streaming import StreamingInference, StreamResult
@@ -13,4 +13,6 @@ __all__ = [
     "ReferenceEngine",
     "StreamingInference",
     "StreamResult",
+    "WindowCarry",
+    "WindowResult",
 ]

@@ -23,31 +23,102 @@ Figs. 8–9):
 With ``enable_skipping=False`` the engine's outputs are bit-comparable to
 the reference engine (a test invariant); with skipping on they differ by
 the bounded approximation the accuracy benches quantify.
+
+:meth:`ConcurrentEngine.step` is the only window executor: it runs one
+window from a :class:`WindowCarry` (everything one window hands to the
+next) and advances it.  :meth:`ConcurrentEngine.run` folds it over a
+whole graph; :class:`~repro.engine.streaming.StreamingInference` calls it
+once per buffered window.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..analysis.classify import classify_window
+from ..analysis import classify as classify_mod
+from ..analysis.classify import WindowClassification
 from ..analysis.similarity import similarity_scores
 from ..analysis.subgraph import extract_affected_subgraph, union_adjacency
 from ..graphs.dynamic import DynamicGraph
 from ..graphs.snapshot import CSRSnapshot, aggregate_kernel
 from ..models.base import DGNNModel
+from ..models.rnn import IdentityCell
 from ..skipping.delta import DeltaCellCache
 from ..skipping.policy import CellUpdateMode, SkippingPolicy, SkipThresholds
 from .metrics import ExecutionMetrics
 from .reference import EngineResult
 
-__all__ = ["ConcurrentEngine"]
+__all__ = ["ConcurrentEngine", "WindowCarry", "WindowResult"]
 
 #: EWMA smoothing for the engine's running Condense-Unit sparsity probe
 #: (``delta_nnz`` over delta capacity), fed to the planner's profiles.
 _DELTA_PROBE_ALPHA = 0.3
+
+_CACHE_ARRAYS = ("zx", "zh", "z_input")
+
+
+@dataclass
+class WindowCarry:
+    """Everything carried across a window boundary.
+
+    :meth:`ConcurrentEngine.step` reads and advances ``window_index`` and
+    ``state`` through ``first``; a stream also keeps its buffer
+    (``pending``), position (``timestamp``), running ``metrics`` and
+    pinned vertex count here, so one record is the whole checkpoint
+    (:mod:`repro.resilience.checkpoint`).  ``state``, ``cache`` and
+    ``h_prev`` stay ``None`` until the first window allocates them.
+    """
+
+    window_size: int
+    pending: list[CSRSnapshot] = field(default_factory=list)
+    timestamp: int = 0  # stream position of pending[0]
+    window_index: int = 0  # windows executed; drives weight evolution
+    metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
+    state: object = None  # per-vertex recurrent state
+    #: delta-cache pre-activations ``zx``/``zh``/``z_input`` (None for
+    #: identity cells)
+    cache: dict[str, np.ndarray] | None = None
+    h_prev: np.ndarray | None = None  # last output
+    z_prev: np.ndarray | None = None  # last GNN output (delta baseline)
+    snap_prev: CSRSnapshot | None = None
+    first: bool = True  # nothing executed yet: next cell update is full
+    num_vertices: int | None = None
+
+    def copy(self) -> "WindowCarry":
+        """Deep copy: shares no array, snapshot or counter with ``self``."""
+
+        def opt(x):
+            return None if x is None else x.copy()
+
+        return replace(
+            self,
+            pending=[s.copy() for s in self.pending],
+            metrics=ExecutionMetrics(**self.metrics.as_dict()),
+            state=opt(self.state),
+            cache=(
+                None
+                if self.cache is None
+                else {k: v.copy() for k, v in self.cache.items()}
+            ),
+            h_prev=opt(self.h_prev),
+            z_prev=opt(self.z_prev),
+            snap_prev=opt(self.snap_prev),
+        )
+
+
+@dataclass
+class WindowResult:
+    """What one :meth:`ConcurrentEngine.step` produced."""
+
+    outputs: list[np.ndarray]  # H^t per snapshot of the window
+    metrics: ExecutionMetrics  # this window's counters only
+    classification: WindowClassification
+    plan: object  # the planner's ExecutionPlan, or None
+    decisions: list  # the window's skipping decisions
 
 
 class ConcurrentEngine:
@@ -108,93 +179,169 @@ class ConcurrentEngine:
 
     # ------------------------------------------------------------------
     def run(self, graph: DynamicGraph) -> EngineResult:
-        n = graph.num_vertices
-        m = ExecutionMetrics()
-        model = self.model
-        state = model.init_state(n)
-        # RNN-free models (IdentityCell) have no delta-cache machinery:
-        # their "cell update" is free and always exact
-        from ..models.rnn import IdentityCell
-
-        cache = (
-            None
-            if isinstance(model.cell, IdentityCell)
-            else DeltaCellCache(model.cell, n)
-        )
-        outputs: list[np.ndarray] = []
-        decisions = []
-        classifications = []
-        h_prev = np.zeros((n, model.out_dim), dtype=np.float32)
-        z_prev: np.ndarray | None = None
-        snap_prev: CSRSnapshot | None = None
-        first_snapshot = True
-
+        """Fold :meth:`step` over the graph's consecutive windows."""
         k = self.window_size
+        carry = WindowCarry(k)
+        outputs: list[np.ndarray] = []
+        decisions: list = []
+        classifications = []
         plans = []
-        starts = list(range(0, graph.num_snapshots, k))
-        for start in starts:
+        for start in range(0, graph.num_snapshots, k):
             size = min(k, graph.num_snapshots - start)
-            window = graph.window(start, size)
-            if hasattr(self.model, "advance_window"):
-                self.model.advance_window(start // k)
-            cls = classify_window(window)
-            plan = self.plan_window(m, window, cls)
-            if plan is not None:
-                plans.append(plan)
-            classifications.append(cls)
-            self._account_overhead(
-                m, window, self._subgraph_vertices(window, cls, plan)
-            )
-
-            base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
-            base_delta_nnz = m.delta_nnz
-            t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
-            with self._plan_context(plan):
-                zs = self._gnn_window(m, window, cls)
-
-                for t, snap in enumerate(window):
-                    z = zs[t]
-                    # The first snapshot of every batch takes the full cell
-                    # update: the paper "recalculates similarity scores for
-                    # each vertex in the new batch, rather than reusing scores
-                    # and skipping decisions" to stop error accumulating over
-                    # prolonged skipping — a periodic state refresh is what
-                    # bounds the drift (and what keeps Table 5's loss < 1%).
-                    h_prev, state = self._rnn_step(
-                        m,
-                        snap,
-                        z,
-                        z_prev,
-                        snap_prev,
-                        state,
-                        cache,
-                        cls,
-                        h_prev,
-                        first=first_snapshot
-                        or (t == 0 and self.refresh_each_window),
-                        decisions=decisions,
-                    )
-                    outputs.append(h_prev.copy())
-                    z_prev, snap_prev = z, snap
-                    first_snapshot = False
-                    m.snapshots_processed += 1
-            if plan is not None:
-                elapsed = time.perf_counter() - t0  # repro: noqa R001 — planner latency feedback
-                self.planner.observe(plan, elapsed)
-            m.record_window_modes(
-                m.cells_full - base_modes[0],
-                m.cells_delta - base_modes[1],
-                m.cells_skipped - base_modes[2],
-            )
-            self._update_delta_probe(
-                m.cells_delta - base_modes[1], m.delta_nnz - base_delta_nnz
-            )
-            m.windows_processed += 1
+            result = self.step(graph.window(start, size), carry)
+            outputs.extend(result.outputs)
+            decisions.extend(result.decisions)
+            classifications.append(result.classification)
+            if result.plan is not None:
+                plans.append(result.plan)
+            carry.metrics = carry.metrics.merge(result.metrics)
 
         extra = {"decisions": decisions, "classifications": classifications}
         if self.planner is not None:
             extra["plans"] = plans
-        return EngineResult(outputs, m, extra=extra)
+        return EngineResult(outputs, carry.metrics, extra=extra)
+
+    def step(self, window: DynamicGraph, carry: WindowCarry) -> WindowResult:
+        """Execute one window from ``carry`` and advance it in place.
+
+        Classify the window, plan it, drift-probe the plan when the
+        planner asks, then run the changed-set GNN and the per-snapshot
+        similarity-gated cell updates.  Only the window fields of
+        ``carry`` change (``window_index`` through ``first``); the
+        caller owns ``pending``, ``timestamp`` and ``metrics``.
+        """
+        model = self.model
+        if carry.state is None:
+            self._init_carry(carry, window.num_vertices)
+        if hasattr(model, "advance_window"):
+            model.advance_window(carry.window_index)
+
+        m = ExecutionMetrics()
+        # resolved at call time so tracers wrapping the module see it
+        cls = classify_mod.classify_window(window)
+        plan = self.plan_window(m, window, cls)
+
+        # Drift probe: replay this window from a copy of the carry at the
+        # *default* thresholds, then run the tuned plan — the relative
+        # divergence between the two output sets is exactly the quantity
+        # the drift budget bounds.  While the controller is still at the
+        # defaults the divergence is zero by construction, so the probe
+        # is free — that zero is what bootstraps the aggressiveness ramp.
+        probe = plan is not None and self.planner.wants_probe()
+        baseline = None
+        if probe and plan.thresholds != SkipThresholds():
+            baseline, _ = self._execute(
+                window,
+                cls,
+                replace(plan, thresholds=SkipThresholds()),
+                carry.copy(),
+                ExecutionMetrics(),
+                [],
+            )
+
+        decisions: list = []
+        outputs, seconds = self._execute(
+            window, cls, plan, carry, m, decisions
+        )
+        if plan is not None:
+            self.planner.observe(plan, seconds)
+        if probe:
+            if baseline is None:
+                drift = 0.0
+            else:
+                from ..adaptive import relative_drift
+
+                drift = relative_drift(baseline, outputs)
+            self.planner.observe_drift(drift)
+            m.drift_probes += 1
+
+        m.windows_processed += 1
+        carry.window_index += 1
+        return WindowResult(outputs, m, cls, plan, decisions)
+
+    def _init_carry(self, carry: WindowCarry, n: int) -> None:
+        """Allocate the recurrent state, delta cache and last output."""
+        model = self.model
+        carry.state = model.init_state(n)
+        if not isinstance(model.cell, IdentityCell):
+            # RNN-free models (IdentityCell) have no delta-cache
+            # machinery: their "cell update" is free and always exact
+            fresh = DeltaCellCache(model.cell, n)
+            carry.cache = {k: getattr(fresh, k) for k in _CACHE_ARRAYS}
+        carry.h_prev = np.zeros((n, model.out_dim), dtype=np.float32)
+
+    def _delta_cache(self, carry: WindowCarry) -> DeltaCellCache | None:
+        """The model's delta cache over ``carry.cache``'s arrays: its
+        refreshes and partial steps update the carry in place."""
+        if carry.cache is None:
+            return None
+        cache = DeltaCellCache(self.model.cell, len(carry.cache["zx"]))
+        for name in _CACHE_ARRAYS:
+            setattr(cache, name, carry.cache[name])
+        return cache
+
+    def _execute(self, window, cls, plan, carry, m, decisions):
+        """Run one classified window under ``plan`` (the static
+        configuration when None), advancing ``carry``.
+
+        Returns the outputs and the GNN + cell-update seconds the
+        planner's cost model learns from.  ``delta-condensed`` keeps the
+        OADL changed-set path; the two full-recompute kernels turn it
+        off and differ only in the aggregation kernel (scatter vs dense
+        slots) — all three are bit-identical by construction.
+        """
+        overlap, policy = self.enable_overlap, self.policy
+        kernel = nullcontext()
+        if plan is not None:
+            from ..adaptive import KernelChoice
+
+            overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
+            policy = SkippingPolicy(plan.thresholds)
+            if plan.kernel is KernelChoice.DENSE_GEMM:
+                kernel = aggregate_kernel("dense")
+        self._account_overhead(
+            m, window, self._subgraph_vertices(window, cls, plan)
+        )
+        base_modes = (m.cells_full, m.cells_delta, m.cells_skipped)
+        base_delta_nnz = m.delta_nnz
+        cache = self._delta_cache(carry)
+        outputs: list[np.ndarray] = []
+        t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
+        with kernel:
+            zs = self._gnn_window(m, window, cls, overlap=overlap)
+            for t, snap in enumerate(window):
+                # The first snapshot of every batch takes the full cell
+                # update: the paper "recalculates similarity scores for
+                # each vertex in the new batch, rather than reusing scores
+                # and skipping decisions" to stop error accumulating over
+                # prolonged skipping — a periodic state refresh is what
+                # bounds the drift (and what keeps Table 5's loss < 1%).
+                carry.h_prev, carry.state = self._rnn_step(
+                    m,
+                    snap,
+                    zs[t],
+                    carry,
+                    cache,
+                    cls,
+                    policy=policy,
+                    first=carry.first
+                    or (t == 0 and self.refresh_each_window),
+                    decisions=decisions,
+                )
+                outputs.append(carry.h_prev.copy())
+                carry.z_prev, carry.snap_prev = zs[t], snap
+                carry.first = False
+                m.snapshots_processed += 1
+        seconds = time.perf_counter() - t0  # repro: noqa R001 — planner latency feedback
+        m.record_window_modes(
+            m.cells_full - base_modes[0],
+            m.cells_delta - base_modes[1],
+            m.cells_skipped - base_modes[2],
+        )
+        self._update_delta_probe(
+            m.cells_delta - base_modes[1], m.delta_nnz - base_delta_nnz
+        )
+        return outputs, seconds
 
     # ------------------------------------------------------------------
     # adaptive planning support (repro.adaptive)
@@ -214,34 +361,6 @@ class ConcurrentEngine:
         m.windows_planned += 1
         m.plan_kernel_switches += self.planner.kernel_switches - prev_switches
         return plan
-
-    @contextlib.contextmanager
-    def _plan_context(self, plan):
-        """Apply one plan's kernel + threshold choices for a window.
-
-        ``delta-condensed`` keeps the OADL changed-set path; the two full
-        recompute kernels disable overlap and differ only in the
-        aggregation kernel (scatter vs dense slots) — all three are
-        bit-identical by construction (tests/adaptive).
-        """
-        if plan is None:
-            yield
-            return
-        from ..adaptive import KernelChoice
-
-        prev_overlap = self.enable_overlap
-        prev_policy = self.policy
-        self.enable_overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
-        self.policy = SkippingPolicy(plan.thresholds)
-        try:
-            if plan.kernel is KernelChoice.DENSE_GEMM:
-                with aggregate_kernel("dense"):
-                    yield
-            else:
-                yield
-        finally:
-            self.enable_overlap = prev_overlap
-            self.policy = prev_policy
 
     def _subgraph_vertices(self, window, cls, plan) -> int:
         """Affected-subgraph size for overhead accounting.
@@ -268,10 +387,10 @@ class ConcurrentEngine:
     # ------------------------------------------------------------------
     # GNN phase
     # ------------------------------------------------------------------
-    def _gnn_window(self, m, window, cls) -> list[np.ndarray]:
+    def _gnn_window(self, m, window, cls, *, overlap) -> list[np.ndarray]:
         """Multi-snapshot GNN with changed-set propagation (exact)."""
         model = self.model
-        if not self.enable_overlap:
+        if not overlap:
             # ablation WO/OADL: every snapshot fully recomputed through
             # the window kernel
             zs = model.gnn_forward_window(window.snapshots)
@@ -402,19 +521,20 @@ class ConcurrentEngine:
         m,
         snap,
         z,
-        z_prev,
-        snap_prev,
-        state,
+        carry: WindowCarry,
         cache,
         cls,
-        h_prev,
         *,
+        policy: SkippingPolicy,
         first: bool,
         decisions: list,
     ):
+        """One snapshot's cell update from ``carry``; returns the new
+        output and recurrent state."""
         model = self.model
+        z_prev, snap_prev, state = carry.z_prev, carry.snap_prev, carry.state
         present_rows = np.flatnonzero(snap.present)
-        h_out = h_prev.copy()
+        h_out = carry.h_prev.copy()
 
         if first or not self.enable_skipping or z_prev is None:
             rows = present_rows
@@ -445,7 +565,7 @@ class ConcurrentEngine:
         )
         theta = similarity_scores(z_prev, z, snap_prev, snap, scored, feat_stable)
         m.overhead_ops += len(scored) * (z.shape[1] + 8)
-        decision = self.policy.decide(scored, theta)
+        decision = policy.decide(scored, theta)
         decisions.append(decision)
 
         full_rows = decision.rows(CellUpdateMode.FULL)

@@ -56,39 +56,60 @@ class ReferenceEngine:
         """Run inference over every snapshot; returns exact outputs and
         the traffic/compute counters of the conventional pattern."""
         m = ExecutionMetrics()
-        n = graph.num_vertices
-        state = self.model.init_state(n)
-        h_out = np.zeros((n, self.model.out_dim), dtype=np.float32)
+        state = h_out = None
         outputs: list[np.ndarray] = []
-        # GNN passes run one window at a time through the window kernel;
-        # the cell updates stay sequential because each consumes the
-        # previous state.
-        for start in range(0, len(graph), self.window_size):
-            # weight-evolving (RNN-free) models advance per batch
-            if hasattr(self.model, "advance_window"):
-                self.model.advance_window(start // self.window_size)
-            snaps = graph.snapshots[start : start + self.window_size]
-            zs = self.model.gnn_forward_window(snaps)
-            base_full = m.cells_full
-            for snap, z in zip(snaps, zs):
-                h, new_state = self.model.cell_step(z, state, snap)
-                # absent vertices are not computed: freeze their output
-                # and recurrent state (systems do not schedule absent
-                # vertices)
-                absent = np.flatnonzero(~snap.present)
-                if absent.size:
-                    h[absent] = h_out[absent]
-                    new_state.select_rows(absent, state)
-                h_out = h
-                state = new_state
-                outputs.append(h_out.copy())
-                self._account_snapshot(m, snap)
-            # conventional pattern: every present vertex takes the full
-            # cell update — the trajectory is all-FULL by construction
-            m.record_window_modes(m.cells_full - base_full, 0, 0)
-        m.snapshots_processed = len(graph)
+        k = self.window_size
+        for start in range(0, len(graph), k):
+            window_outputs, state, _ = self.step(
+                graph.snapshots[start : start + k],
+                state,
+                h_out,
+                m,
+                window_index=start // k,
+            )
+            outputs.extend(window_outputs)
+            h_out = window_outputs[-1]
         self._account_redundancy(m, graph)
         return EngineResult(outputs, m)
+
+    def step(self, snaps, state, h_out, m: ExecutionMetrics, *, window_index):
+        """Run one window from the carried ``state`` and last output
+        ``h_out`` (both None before the first window), accounting into
+        ``m``.
+
+        Returns the window's outputs, the new state and the last
+        snapshot's GNN output.  The GNN passes run through the window
+        kernel; the cell updates stay sequential because each consumes
+        the previous state.
+        """
+        model = self.model
+        if state is None:
+            n = snaps[0].num_vertices
+            state = model.init_state(n)
+            h_out = np.zeros((n, model.out_dim), dtype=np.float32)
+        # weight-evolving (RNN-free) models advance per batch
+        if hasattr(model, "advance_window"):
+            model.advance_window(window_index)
+        zs = model.gnn_forward_window(snaps)
+        base_full = m.cells_full
+        outputs: list[np.ndarray] = []
+        for snap, z in zip(snaps, zs):
+            h, new_state = model.cell_step(z, state, snap)
+            # absent vertices are not computed: freeze their output and
+            # recurrent state (systems do not schedule absent vertices)
+            absent = np.flatnonzero(~snap.present)
+            if absent.size:
+                h[absent] = h_out[absent]
+                new_state.select_rows(absent, state)
+            h_out = h
+            state = new_state
+            outputs.append(h_out.copy())
+            self._account_snapshot(m, snap)
+            m.snapshots_processed += 1
+        # conventional pattern: every present vertex takes the full cell
+        # update — the trajectory is all-FULL by construction
+        m.record_window_modes(m.cells_full - base_full, 0, 0)
+        return outputs, state, zs[-1]
 
     # ------------------------------------------------------------------
     def _account_snapshot(self, m: ExecutionMetrics, snap) -> None:

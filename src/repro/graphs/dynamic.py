@@ -96,7 +96,7 @@ class DynamicGraph:
     ----------
     snapshots:
         Snapshots in timestamp order; all must agree on ``num_vertices``
-        and feature dimension.  Timestamps are renumbered ``0..T-1``.
+        and feature dimension.  Their timestamps are kept as given.
     name:
         Optional dataset name (used in reports).
     """
@@ -112,8 +112,6 @@ class DynamicGraph:
             if s.dim != d:
                 raise ValueError("snapshots disagree on feature dimension")
         self.snapshots: list[CSRSnapshot] = list(snapshots)
-        for t, s in enumerate(self.snapshots):
-            s.timestamp = t
         self.name = name
         self._deltas: dict[int, SnapshotDelta] = {}
 
@@ -176,14 +174,10 @@ class DynamicGraph:
             raise IndexError(
                 f"window [{start}, {start + size}) out of range for T={len(self)}"
             )
-        sub = DynamicGraph(
+        return DynamicGraph(
             self.snapshots[start : start + size],
             name=f"{self.name}[{start}:{start + size}]",
         )
-        # restore true timestamps clobbered by the constructor's renumbering
-        for off, s in enumerate(sub.snapshots):
-            s.timestamp = start + off
-        return sub
 
     def windows(self, size: int, stride: int | None = None) -> Iterator["DynamicGraph"]:
         """Iterate over sliding windows (default stride = size, i.e. the

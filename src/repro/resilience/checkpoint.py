@@ -1,14 +1,16 @@
 """Checkpoint/replay for the streaming engine's carry state.
 
-:class:`~repro.engine.streaming.StreamingInference` carries five things
-across window boundaries: the pending (not yet processed) snapshots, the
-per-vertex recurrent state, the previous window's last GNN output and
-snapshot (the delta baseline), the similarity cache pre-activations, and
-the window index that drives weight evolution.  A crash loses all of it —
+A :class:`~repro.engine.streaming.StreamingInference` keeps everything
+it carries across window boundaries in one
+:class:`~repro.engine.concurrent.WindowCarry`: the pending (not yet
+processed) snapshots, the per-vertex recurrent state, the previous
+window's last GNN output and snapshot (the delta baseline), the
+similarity cache pre-activations, and the window index that drives
+weight evolution.  A crash loses all of it —
 re-pushing the remaining feed from scratch would produce *different*
 outputs, because the recurrent state is path-dependent.
 
-This module serialises that carry bundle so a stream can resume
+This module serialises that record so a stream can resume
 **bit-identically** from any event boundary.  Design points:
 
 * **No pickle.**  Everything is flattened into a ``str -> ndarray``
@@ -46,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..engine.concurrent import WindowCarry
 from ..engine.metrics import SCALAR_FIELDS, ExecutionMetrics
 from ..engine.streaming import StreamingInference
 from ..graphs.snapshot import CSRSnapshot
@@ -85,28 +88,26 @@ def _snapshot_from(data, prefix: str) -> CSRSnapshot:
 
 
 # ----------------------------------------------------------------------
-def carry_to_arrays(carry: dict) -> dict:
-    """Flatten a ``StreamingInference.carry_state()`` mapping into the
-    ``str -> ndarray`` checkpoint layout documented above."""
-    num_vertices = carry["num_vertices"]
+def carry_to_arrays(carry: WindowCarry) -> dict:
+    """Flatten a :class:`WindowCarry` into the ``str -> ndarray``
+    checkpoint layout documented above."""
     arrays: dict = {
         "meta/format": np.int64(CHECKPOINT_FORMAT),
-        "meta/window_size": np.int64(carry["window_size"]),
-        "meta/timestamp": np.int64(carry["timestamp"]),
-        "meta/window_index": np.int64(carry["window_index"]),
-        "meta/first": np.bool_(carry["first"]),
+        "meta/window_size": np.int64(carry.window_size),
+        "meta/timestamp": np.int64(carry.timestamp),
+        "meta/window_index": np.int64(carry.window_index),
+        "meta/first": np.bool_(carry.first),
         "meta/num_vertices": np.int64(
-            -1 if num_vertices is None else num_vertices
+            -1 if carry.num_vertices is None else carry.num_vertices
         ),
-        "meta/num_pending": np.int64(len(carry["pending"])),
+        "meta/num_pending": np.int64(len(carry.pending)),
     }
-    metrics = carry["metrics"]
     for name in SCALAR_FIELDS:
-        arrays[f"metrics/{name}"] = np.int64(getattr(metrics, name))
+        arrays[f"metrics/{name}"] = np.int64(getattr(carry.metrics, name))
     arrays["metrics/window_modes"] = np.asarray(
-        metrics.window_modes, dtype=np.int64
+        carry.metrics.window_modes, dtype=np.int64
     ).reshape(-1, 3)
-    state = carry["state"]
+    state = carry.state
     if state is None:
         arrays["meta/state_kind"] = np.str_("none")
     elif isinstance(state, LSTMState):
@@ -120,21 +121,21 @@ def carry_to_arrays(carry: dict) -> dict:
         raise ValueError(
             f"cannot checkpoint recurrent state of type {type(state).__name__}"
         )
-    if carry["cache"] is not None:
+    if carry.cache is not None:
         for name in ("zx", "zh", "z_input"):
-            arrays[f"cache/{name}"] = carry["cache"][name]
+            arrays[f"cache/{name}"] = carry.cache[name]
     for name in ("h_prev", "z_prev"):
-        if carry[name] is not None:
-            arrays[f"carry/{name}"] = carry[name]
-    if carry["snap_prev"] is not None:
-        arrays.update(_snapshot_arrays("snap_prev", carry["snap_prev"]))
-    for i, snap in enumerate(carry["pending"]):
+        if getattr(carry, name) is not None:
+            arrays[f"carry/{name}"] = getattr(carry, name)
+    if carry.snap_prev is not None:
+        arrays.update(_snapshot_arrays("snap_prev", carry.snap_prev))
+    for i, snap in enumerate(carry.pending):
         arrays.update(_snapshot_arrays(f"pending/{i}", snap))
     return arrays
 
 
-def arrays_to_carry(data) -> dict:
-    """Rebuild a carry mapping from the flat checkpoint layout.
+def arrays_to_carry(data) -> WindowCarry:
+    """Rebuild a :class:`WindowCarry` from the flat checkpoint layout.
 
     ``data`` is anything indexable by key with a ``files``/key listing —
     an :class:`numpy.lib.npyio.NpzFile` or a plain dict.  Snapshots are
@@ -178,31 +179,31 @@ def arrays_to_carry(data) -> dict:
             for name in ("zx", "zh", "z_input")
         }
     raw_n = int(data["meta/num_vertices"])
-    return {
-        "window_size": int(data["meta/window_size"]),
-        "pending": [
+    return WindowCarry(
+        window_size=int(data["meta/window_size"]),
+        pending=[
             _snapshot_from(data, f"pending/{i}")
             for i in range(int(data["meta/num_pending"]))
         ],
-        "timestamp": int(data["meta/timestamp"]),
-        "window_index": int(data["meta/window_index"]),
-        "metrics": metrics,
-        "state": state,
-        "cache": cache,
-        "h_prev": (
+        timestamp=int(data["meta/timestamp"]),
+        window_index=int(data["meta/window_index"]),
+        metrics=metrics,
+        state=state,
+        cache=cache,
+        h_prev=(
             np.asarray(data["carry/h_prev"]) if "carry/h_prev" in keys else None
         ),
-        "z_prev": (
+        z_prev=(
             np.asarray(data["carry/z_prev"]) if "carry/z_prev" in keys else None
         ),
-        "snap_prev": (
+        snap_prev=(
             _snapshot_from(data, "snap_prev")
             if "snap_prev/indptr" in keys
             else None
         ),
-        "first": bool(data["meta/first"]),
-        "num_vertices": None if raw_n < 0 else raw_n,
-    }
+        first=bool(data["meta/first"]),
+        num_vertices=None if raw_n < 0 else raw_n,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +213,8 @@ def save_checkpoint(stream: StreamingInference, path) -> None:
     np.savez_compressed(path, **carry_to_arrays(stream.carry_state()))
 
 
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into a carry mapping ready for
+def load_checkpoint(path) -> WindowCarry:
+    """Read a checkpoint back into a carry ready for
     :meth:`StreamingInference.restore_carry`."""
     with np.load(path, allow_pickle=False) as data:
         return arrays_to_carry(data)
@@ -297,8 +298,8 @@ class CheckpointStore:
             self._delete(stale)
         return key
 
-    def load(self, key: str) -> dict:
-        """Read one checkpoint back into a carry mapping.
+    def load(self, key: str) -> WindowCarry:
+        """Read one checkpoint back into a :class:`WindowCarry`.
 
         Raises :class:`TransientStorageError` when a scheduled transient
         failure is pending (retryable) and :class:`CorruptCheckpointError`

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..check.sanitizer import SanitizerViolation
+from ..engine.concurrent import WindowCarry
 from ..engine.metrics import ExecutionMetrics
 from ..engine.reference import ReferenceEngine
 from ..engine.streaming import StreamingInference, StreamResult
@@ -176,10 +175,10 @@ class ResilientStreamingInference:
         nothing happened, with the incident recorded.
         """
         self._check_circuit()
-        step = self.stream._timestamp + self.stream.pending
+        step = self.stream._carry.timestamp + self.stream.pending
         reason = snapshot_violation(
             snapshot,
-            num_vertices=self.stream._num_vertices,
+            num_vertices=self.stream._carry.num_vertices,
             dim=self.model.in_dim,
         )
         if reason is not None:
@@ -189,7 +188,7 @@ class ResilientStreamingInference:
             return self.stream.push(snapshot)  # pure buffering: no risk
         carry = self.stream.carry_state()
         self._own.checkpoints_taken += 1
-        window = [s.copy() for s in carry["pending"]] + [snapshot]
+        window = [s.copy() for s in carry.pending] + [snapshot]
         try:
             if self._queued_faults:
                 raise self._queued_faults.pop(0)
@@ -206,7 +205,7 @@ class ResilientStreamingInference:
             return None
         carry = self.stream.carry_state()
         self._own.checkpoints_taken += 1
-        window = [s.copy() for s in carry["pending"]]
+        window = [s.copy() for s in carry.pending]
         try:
             if self._queued_faults:
                 raise self._queued_faults.pop(0)
@@ -238,7 +237,7 @@ class ResilientStreamingInference:
         self._own.incidents += 1
         self.incidents.append(
             Incident(
-                window_index=self.stream._window_index,
+                window_index=self.stream._carry.window_index,
                 step=step,
                 kind="poison-snapshot",
                 action="dead-lettered",
@@ -247,7 +246,9 @@ class ResilientStreamingInference:
         )
         self._note_failure()
 
-    def _recover(self, carry: dict, window, exc: Exception) -> StreamResult:
+    def _recover(
+        self, carry: WindowCarry, window, exc: Exception
+    ) -> StreamResult:
         """Roll back to the pre-window carry, then re-execute the window
         on the reference path."""
         self.stream.restore_carry(carry)
@@ -260,8 +261,8 @@ class ResilientStreamingInference:
         )
         self.incidents.append(
             Incident(
-                window_index=carry["window_index"],
-                step=carry["timestamp"],
+                window_index=carry.window_index,
+                step=carry.timestamp,
                 kind=kind,
                 action="degraded",
                 detail=str(exc),
@@ -273,49 +274,25 @@ class ResilientStreamingInference:
         self._note_failure()
         return result
 
-    def _degrade(self, carry: dict, window) -> StreamResult:
+    def _degrade(self, carry: WindowCarry, window) -> StreamResult:
         """Re-execute ``window`` with exact reference-engine semantics.
 
-        This is the per-snapshot body of :meth:`ReferenceEngine.run`
-        seeded with the carried state: GNN forward, cell step, absent
-        rows frozen, idempotent weight-evolution advance — so a degraded
-        window's outputs are bit-identical to what the reference engine
-        would have produced at this position in the stream.  Accounting
-        uses the reference engine's conventional (everything-moved)
-        pattern: degradation is correct but slower, and the metrics say
-        so.
+        :meth:`ReferenceEngine.step` runs seeded with the carried state,
+        so a degraded window's outputs are bit-identical to what the
+        reference engine would have produced at this position in the
+        stream.  Accounting uses the reference engine's conventional
+        (everything-moved) pattern: degradation is correct but slower,
+        and the metrics say so.
         """
-        model = self.model
-        n = window[0].num_vertices
-        state = carry["state"]
-        state = model.init_state(n) if state is None else state.copy()
-        h_out = carry["h_prev"]
-        h_out = (
-            np.zeros((n, model.out_dim), dtype=np.float32)
-            if h_out is None
-            else h_out.copy()
+        ref = ReferenceEngine(self.model, window_size=self.stream.window_size)
+        m = ExecutionMetrics(windows_processed=1, fallback_windows=1)
+        outputs, state, z = ref.step(
+            window,
+            carry.state,
+            carry.h_prev,
+            m,
+            window_index=carry.window_index,
         )
-        if hasattr(model, "advance_window"):
-            model.advance_window(carry["window_index"])
-        ref = ReferenceEngine(model, window_size=self.stream.window_size)
-        m = ExecutionMetrics()
-        outputs: list[np.ndarray] = []
-        z = None
-        for off, snap in enumerate(window):
-            snap.timestamp = carry["timestamp"] + off
-            z = model.gnn_forward(snap)
-            h, new_state = model.cell_step(z, state, snap)
-            absent = np.flatnonzero(~snap.present)
-            if absent.size:
-                h[absent] = h_out[absent]
-                new_state.select_rows(absent, state)
-            h_out = h
-            state = new_state
-            outputs.append(h_out.copy())
-            ref._account_snapshot(m, snap)
-            m.snapshots_processed += 1
-        m.windows_processed += 1
-        m.fallback_windows += 1
         return self.stream.adopt_window(window, outputs, state, z, m)
 
 

@@ -184,6 +184,28 @@ class TestBoundedDrift:
         for a, b in zip(default, tuned):
             np.testing.assert_array_equal(a, b)
 
+    def test_batch_run_probes_like_the_stream(self):
+        """``ConcurrentEngine.run`` and a pushed-then-flushed stream share
+        one window executor: with a threshold-tuning planner both run the
+        same drift probes and produce the same outputs."""
+        g = load_dataset("GT", num_snapshots=24, seed=SEED)
+        batch_planner = AdaptivePlanner()
+        batch = ConcurrentEngine(
+            make_model("T-GCN", g.dim, 16, seed=SEED),
+            window_size=4,
+            planner=batch_planner,
+        ).run(g)
+        stream_planner = AdaptivePlanner()
+        outs, stream = run_stream(
+            make_model("T-GCN", g.dim, 16, seed=SEED), g, planner=stream_planner
+        )
+        assert len(outs) == len(batch.outputs) == g.num_snapshots
+        for a, b in zip(outs, batch.outputs):
+            np.testing.assert_array_equal(a, b)
+        assert batch_planner.probes_done == stream_planner.probes_done >= 2
+        assert batch_planner.aggressiveness == stream_planner.aggressiveness
+        assert batch.metrics.drift_probes == stream.metrics.drift_probes
+
     def test_drift_recorded_in_metrics(self):
         g = load_dataset("GT", num_snapshots=12, seed=SEED)
         planner = AdaptivePlanner()

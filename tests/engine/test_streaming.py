@@ -29,17 +29,25 @@ def run_stream(model, graph, window=4, **kw):
 
 
 class TestStreamingEquivalence:
-    @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
-    def test_stream_equals_batch(self, graph, name):
+    @pytest.mark.parametrize(
+        "name, window",
+        [
+            pytest.param(n, w, id=n if w == 4 else f"{n}-window{w}")
+            for w in (4, 1, 5)  # 4 and 5 leave a trailing partial window
+            for n in sorted(MODEL_ZOO)
+        ],
+    )
+    def test_stream_equals_batch(self, graph, name, window):
         """Pushing snapshot-by-snapshot must reproduce the batch engine's
         outputs bit-for-bit (including the trailing partial window)."""
         batch = ConcurrentEngine(
-            make_model(name, graph.dim, 16, seed=1), window_size=4
+            make_model(name, graph.dim, 16, seed=1), window_size=window
         ).run(graph)
         outs, stamps, _ = run_stream(
-            make_model(name, graph.dim, 16, seed=1), graph
+            make_model(name, graph.dim, 16, seed=1), graph, window=window
         )
         assert stamps == list(range(10))
+        assert len(outs) == len(batch.outputs) == 10
         for a, b in zip(outs, batch.outputs):
             np.testing.assert_array_equal(a, b)
 

@@ -7,14 +7,16 @@ bit-identical to the uninterrupted run.
 """
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engine import StreamingInference
-from repro.graphs import load_dataset
+from repro.graphs import DynamicGraphSpec, generate_dynamic_graph, load_dataset
 from repro.models import make_model
 from repro.resilience import (
+    CHECKPOINT_FORMAT,
     arrays_to_carry,
     carry_to_arrays,
     load_checkpoint,
@@ -117,6 +119,47 @@ class TestCrashConsistency:
             np.testing.assert_array_equal(original[key], restored[key])
 
 
+class TestFormatCompatibility:
+    """``fixtures/carry_format1.npz`` was written by an earlier build with
+    :func:`save_checkpoint` after pushing the first six snapshots of the
+    graph below through a window-4 GC-LSTM stream, so its pending, cache
+    and snap_prev sections are all present."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "carry_format1.npz"
+
+    def test_stored_format1_checkpoint_resumes_bit_identically(self):
+        g = generate_dynamic_graph(
+            DynamicGraphSpec(
+                name="ckpt-format1",
+                num_vertices=60,
+                num_edges=180,
+                dim=6,
+                num_snapshots=9,
+                seed=5,
+            )
+        )
+
+        def stream():
+            return StreamingInference(
+                make_model("GC-LSTM", g.dim, 8, seed=5), window_size=4
+            )
+
+        expected = _run(stream(), list(g))
+        carry = load_checkpoint(self.FIXTURE)
+        assert CHECKPOINT_FORMAT == 1
+        assert len(carry.pending) == 2
+        assert carry.cache is not None and carry.snap_prev is not None
+        resumed = stream()
+        resumed.restore_carry(carry)
+        np.testing.assert_array_equal(
+            carry.h_prev, expected[carry.timestamp - 1]
+        )
+        late = _run(resumed, list(g)[carry.timestamp + len(carry.pending):])
+        assert len(late) == len(expected) - carry.timestamp
+        for a, b in zip(expected[carry.timestamp:], late):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestTamperRejection:
     def _arrays(self, graph, pushes=1):
         stream = StreamingInference(_model(graph), window_size=WINDOW)
@@ -195,7 +238,7 @@ class TestCheckpointStore:
         carry = store.load(store.keys()[0])
         resumed = StreamingInference(_model(graph), window_size=WINDOW)
         resumed.restore_carry(carry)
-        start = carry["timestamp"] + len(carry["pending"])
+        start = carry.timestamp + len(carry.pending)
         replayed = _run(resumed, list(graph)[start:])
         assert replayed
         for a, b in zip(replayed, expected[len(expected) - len(replayed):]):
@@ -207,7 +250,7 @@ class TestCheckpointStore:
         )
         assert len(list((tmp_path / "ckpts").glob("ckpt-*.npz"))) == 2
         carry = store.load(store.keys()[-1])
-        assert carry["timestamp"] == stream.carry_state()["timestamp"]
+        assert carry.timestamp == stream.carry_state().timestamp
 
     def test_corrupt_latest_falls_back_to_older(self, graph):
         from repro.resilience import CorruptCheckpointError
@@ -218,7 +261,7 @@ class TestCheckpointStore:
             store.load(torn)
         older = store.keys()[-2]
         carry = store.load(older)  # the older checkpoint still works
-        assert carry["timestamp"] >= 0
+        assert carry.timestamp >= 0
 
     def test_flaked_load_is_retryable(self, graph):
         from repro.engine import ExecutionMetrics
@@ -233,7 +276,7 @@ class TestCheckpointStore:
             policy=RetryPolicy(max_attempts=3, seed=1),
             metrics=m,
         )
-        assert carry["timestamp"] >= 0
+        assert carry.timestamp >= 0
         assert len(delays) == 2
         assert m.retries == 2
 

@@ -143,6 +143,23 @@ class TestGracefulDegradation:
             np.testing.assert_array_equal(a, b)
 
 
+class TestCallerTimestamps:
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_pushed_snapshots_keep_their_timestamps(self, graph, degraded):
+        """Results are numbered by stream position; the pushed snapshots'
+        own timestamps are left as the caller stamped them."""
+        snaps = [graph[t].copy() for t in range(4, 8)]
+        if degraded:
+            sink = ResilientStreamingInference(_model(graph), window_size=WINDOW)
+            sink.inject_fault(RuntimeError("injected engine fault"))
+        else:
+            sink = StreamingInference(_model(graph), window_size=WINDOW)
+        results = [sink.push(snap) for snap in snaps]
+        assert results[-1].timestamps == [0, 1, 2, 3]
+        assert sink.metrics.fallback_windows == int(degraded)
+        assert [snap.timestamp for snap in snaps] == [4, 5, 6, 7]
+
+
 class TestPoisonSnapshots:
     def test_rejected_then_clean_redelivery(self, graph):
         sup = ResilientStreamingInference(_model(graph), window_size=WINDOW)
