@@ -34,7 +34,6 @@ once per buffered window.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +43,7 @@ from ..analysis.classify import WindowClassification
 from ..analysis.similarity import similarity_scores
 from ..analysis.subgraph import extract_affected_subgraph, union_adjacency
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import CSRSnapshot, aggregate_kernel
+from ..graphs.snapshot import CSRSnapshot
 from ..models.base import DGNNModel
 from ..models.rnn import IdentityCell
 from ..skipping.delta import DeltaCellCache
@@ -286,19 +285,16 @@ class ConcurrentEngine:
 
         Returns the outputs and the GNN + cell-update seconds the
         planner's cost model learns from.  ``delta-condensed`` keeps the
-        OADL changed-set path; the two full-recompute kernels turn it
-        off and differ only in the aggregation kernel (scatter vs dense
-        slots) — all three are bit-identical by construction.
+        OADL changed-set path; ``batched-spmm`` turns it off and
+        recomputes every snapshot — the two are bit-identical by
+        construction.
         """
         overlap, policy = self.enable_overlap, self.policy
-        kernel = nullcontext()
         if plan is not None:
             from ..adaptive import KernelChoice
 
             overlap = plan.kernel is KernelChoice.DELTA_CONDENSED
             policy = SkippingPolicy(plan.thresholds)
-            if plan.kernel is KernelChoice.DENSE_GEMM:
-                kernel = aggregate_kernel("dense")
         self._account_overhead(
             m, window, self._subgraph_vertices(window, cls, plan)
         )
@@ -307,31 +303,29 @@ class ConcurrentEngine:
         cache = self._delta_cache(carry)
         outputs: list[np.ndarray] = []
         t0 = time.perf_counter()  # repro: noqa R001 — planner latency feedback, not simulated time
-        with kernel:
-            zs = self._gnn_window(m, window, cls, overlap=overlap)
-            for t, snap in enumerate(window):
-                # The first snapshot of every batch takes the full cell
-                # update: the paper "recalculates similarity scores for
-                # each vertex in the new batch, rather than reusing scores
-                # and skipping decisions" to stop error accumulating over
-                # prolonged skipping — a periodic state refresh is what
-                # bounds the drift (and what keeps Table 5's loss < 1%).
-                carry.h_prev, carry.state = self._rnn_step(
-                    m,
-                    snap,
-                    zs[t],
-                    carry,
-                    cache,
-                    cls,
-                    policy=policy,
-                    first=carry.first
-                    or (t == 0 and self.refresh_each_window),
-                    decisions=decisions,
-                )
-                outputs.append(carry.h_prev.copy())
-                carry.z_prev, carry.snap_prev = zs[t], snap
-                carry.first = False
-                m.snapshots_processed += 1
+        zs = self._gnn_window(m, window, cls, overlap=overlap)
+        for t, snap in enumerate(window):
+            # The first snapshot of every batch takes the full cell
+            # update: the paper "recalculates similarity scores for
+            # each vertex in the new batch, rather than reusing scores
+            # and skipping decisions" to stop error accumulating over
+            # prolonged skipping — a periodic state refresh is what
+            # bounds the drift (and what keeps Table 5's loss < 1%).
+            carry.h_prev, carry.state = self._rnn_step(
+                m,
+                snap,
+                zs[t],
+                carry,
+                cache,
+                cls,
+                policy=policy,
+                first=carry.first or (t == 0 and self.refresh_each_window),
+                decisions=decisions,
+            )
+            outputs.append(carry.h_prev.copy())
+            carry.z_prev, carry.snap_prev = zs[t], snap
+            carry.first = False
+            m.snapshots_processed += 1
         seconds = time.perf_counter() - t0  # repro: noqa R001 — planner latency feedback
         m.record_window_modes(
             m.cells_full - base_modes[0],
@@ -469,13 +463,6 @@ class ConcurrentEngine:
         representative; only those rows' combine outputs are recomputed —
         the rest reuse ``rep_y``.
         """
-        coeff = snap.mean_norm_coeffs()
-        src_all = np.repeat(
-            np.arange(snap.num_vertices, dtype=np.int64), snap.degrees
-        )
-        sel = mask[src_all]
-        tgt = snap.indices[sel]
-
         if layer.out_dim < layer.in_dim:
             y = rep_y.copy()
             rows = np.flatnonzero(in_changed)
@@ -483,15 +470,12 @@ class ConcurrentEngine:
             m.combination_macs += len(rows) * layer.in_dim * layer.out_dim
         else:
             y = x
-        out = np.zeros((snap.num_vertices, y.shape[1]), dtype=np.float32)
-        np.add.at(out, src_all[sel], y[tgt])
-        out[mask] += y[mask]
-        out *= coeff[:, None]
-        m.aggregation_macs += int(sel.sum()) * y.shape[1]
-        m.feature_words += int(sel.sum()) * y.shape[1]  # neighbour gathers
-        m.structure_words += int(mask.sum()) + int(sel.sum())
+        agg = snap.aggregate(y, rows=mask)[mask]
+        edges = int(snap.degrees[mask].sum())
+        m.aggregation_macs += edges * y.shape[1]
+        m.feature_words += edges * y.shape[1]  # neighbour gathers
+        m.structure_words += int(mask.sum()) + edges
 
-        agg = out[mask]
         if layer.out_dim < layer.in_dim:
             res = agg
         else:

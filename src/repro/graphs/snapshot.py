@@ -15,7 +15,6 @@ copies).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -24,16 +23,12 @@ import numpy as np
 from ..check.shapes import contract
 
 __all__ = [
-    "AGGREGATE_KERNELS",
     "CSRSnapshot",
     "FEAT_DTYPE",
     "PTR_DTYPE",
     "VID_DTYPE",
-    "active_aggregate_kernel",
-    "aggregate_kernel",
     "build_csr",
     "degrees_from_indptr",
-    "set_aggregate_kernel",
 ]
 
 # dtype conventions used across the whole package
@@ -111,51 +106,6 @@ def build_csr(
 def degrees_from_indptr(indptr: np.ndarray) -> np.ndarray:
     """Out-degrees as a view-friendly diff of the row-pointer array."""
     return np.diff(indptr)
-
-
-# ----------------------------------------------------------------------
-# aggregation kernel selection (repro.adaptive)
-# ----------------------------------------------------------------------
-#: The interchangeable aggregation kernels.  Both execute *exactly* the
-#: same additions in the same per-row order, so their outputs are
-#: bit-identical by construction (property-tested in tests/adaptive):
-#:
-#: * ``scatter`` — one gather per edge + ``np.add.at`` over the CSR
-#:   (irregular access, work proportional to nnz);
-#: * ``dense``  — neighbour ids padded into an ``(n, max_degree)``
-#:   rectangle, accumulated one degree-slot at a time with regular
-#:   full-width vector ops (gemm-style streaming; work proportional
-#:   to ``n * max_degree``, profitable on dense/regular subgraphs).
-AGGREGATE_KERNELS = ("scatter", "dense")
-
-_active_aggregate_kernel = "scatter"
-
-
-def set_aggregate_kernel(name: str) -> str:
-    """Select the process-wide default aggregation kernel; returns the
-    previous one.  The adaptive planner flips this per window."""
-    global _active_aggregate_kernel
-    if name not in AGGREGATE_KERNELS:
-        raise ValueError(
-            f"unknown aggregate kernel {name!r}; choose from {AGGREGATE_KERNELS}"
-        )
-    prev = _active_aggregate_kernel
-    _active_aggregate_kernel = name
-    return prev
-
-
-def active_aggregate_kernel() -> str:
-    return _active_aggregate_kernel
-
-
-@contextlib.contextmanager
-def aggregate_kernel(name: str):
-    """Scoped kernel override: restores the previous kernel on exit."""
-    prev = set_aggregate_kernel(name)
-    try:
-        yield
-    finally:
-        set_aggregate_kernel(prev)
 
 
 @dataclass
@@ -298,7 +248,7 @@ class CSRSnapshot:
         x: np.ndarray,
         *,
         add_self_loops: bool = True,
-        kernel: str | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         r"""Mean-normalised neighbourhood aggregation
         :math:`\hat D^{-1}(A + I)\, x`.
@@ -306,6 +256,11 @@ class CSRSnapshot:
         This is the GNN module's "aggregation" operation (paper Fig. 1(b)):
         one gather per edge plus an ``np.add.at`` scatter — the exact access
         pattern the accelerator's APE adder trees execute.
+
+        ``rows`` (a boolean vertex mask) restricts the work to those rows:
+        only their edges are summed, in CSR order, and only they get the
+        self-loop; the other rows of the result are meaningless.  The
+        changed-set GNN layers read ``aggregate(y, rows=mask)[mask]``.
 
         Mean (random-walk) normalisation — rather than Kipf–Welling's
         symmetric :math:`\hat D^{-1/2}(A+I)\hat D^{-1/2}` — is load-bearing
@@ -317,42 +272,24 @@ class CSRSnapshot:
         the vertex's output, so "compute unaffected vertices once per
         layer" would be an approximation instead of an identity.
         """
-        if kernel is None:
-            kernel = _active_aggregate_kernel
         coeff = self.mean_norm_coeffs(add_self_loops=add_self_loops)
         out = np.zeros_like(x)
         if self.num_edges:
-            if kernel == "dense":
-                self._accumulate_dense(out, x)
-            else:
-                src = np.repeat(
-                    np.arange(self.num_vertices, dtype=VID_DTYPE), self.degrees
-                )
-                np.add.at(out, src, x[self.indices])
+            src = np.repeat(
+                np.arange(self.num_vertices, dtype=VID_DTYPE), self.degrees
+            )
+            tgt = self.indices
+            if rows is not None:
+                sel = rows[src]
+                src, tgt = src[sel], tgt[sel]
+            np.add.at(out, src, x[tgt])
         if add_self_loops:
-            out += x
+            if rows is None:
+                out += x
+            else:
+                out[rows] += x[rows]
         out *= coeff[:, None]
         return out.astype(x.dtype, copy=False)
-
-    def _accumulate_dense(self, out: np.ndarray, x: np.ndarray) -> None:
-        """Dense-gemm-style neighbour accumulation into ``out``.
-
-        Neighbour ids are padded row-major into an ``(n, max_degree)``
-        rectangle and accumulated one degree slot at a time with regular
-        full-width vector ops — the access pattern of a dense MAC array.
-        Each row's additions happen in ascending CSR position, the exact
-        sequence ``np.add.at`` applies, so the result is bit-identical to
-        the scatter kernel by construction.
-        """
-        deg = self.degrees
-        max_deg = int(deg.max())
-        n = self.num_vertices
-        nbr = np.zeros((n, max_deg), dtype=np.int64)
-        slot_valid = np.arange(max_deg)[None, :] < deg[:, None]
-        nbr[slot_valid] = self.indices  # row-major fill == CSR order
-        for j in range(max_deg):  # repro: noqa R006 — bounded by max degree; each iteration is a full-width vector op, not per-element work
-            sel = slot_valid[:, j]
-            out[sel] += x[nbr[sel, j]]
 
     # ------------------------------------------------------------------
     # structural comparisons (used by vertex classification)

@@ -3,8 +3,9 @@
 One GCN layer performs the two operations the accelerator's DCU splits
 between its processing elements (paper Section 4):
 
-* **aggregation** (APE, adder trees): :math:`\\hat A X` with symmetric
-  normalisation, executed by :meth:`CSRSnapshot.aggregate`;
+* **aggregation** (APE, adder trees): :math:`\\hat D^{-1}(A + I) X` with
+  mean (random-walk) normalisation, executed by
+  :meth:`CSRSnapshot.aggregate`;
 * **combination** (CPE, MAC arrays): the dense projection :math:`(\\cdot) W`.
 
 Weights are created once from a seed and then frozen (reservoir-style, see

@@ -2,10 +2,10 @@
 
 Two halves:
 
-* **bit-identity by construction** — whatever kernel or storage format
-  the planner picks, the outputs are *exactly* the static pipeline's
-  (all kernels apply the same additions in the same order; all formats
-  hold the same canonical content).  Only thresholds may change results.
+* **bit-identity by construction** — whatever kernel the planner
+  picks, the outputs are *exactly* the static pipeline's (both kernels
+  apply the same additions in the same order; all storage formats hold
+  the same canonical content).  Only thresholds may change results.
 * **bounded drift** — the one accuracy-affecting knob, auto-tuned
   :math:`(\\theta_s, \\theta_e)`, stays inside the configured drift
   budget at every probe, and a zero budget degenerates to the exact
@@ -21,7 +21,6 @@ from repro.adaptive import (
     AdaptiveConfig,
     AdaptivePlanner,
     KernelChoice,
-    StorageChoice,
     relative_drift,
 )
 from repro.engine import ConcurrentEngine, StreamingInference
@@ -121,7 +120,7 @@ class TestKernelBitIdentity:
             np.testing.assert_array_equal(a, b)
 
     def test_untuned_planner_is_bit_identical_end_to_end(self):
-        """Free kernel/storage choice with threshold tuning off: the
+        """Free kernel choice with threshold tuning off: the
         planner may reorder *work*, never *results*."""
         g = load_dataset("GT", num_snapshots=10, seed=SEED)
         static, _ = run_stream(make_model("T-GCN", g.dim, 16, seed=SEED), g)
@@ -138,8 +137,8 @@ class TestStorageContentIdentity:
     @given(seed=st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=10, deadline=None)
     def test_all_formats_hold_identical_content(self, seed):
-        """Every storage the planner can pick returns the same canonical
-        edge set — the format axis cannot affect results."""
+        """The paper's three storage formats (Fig. 13(b)) return the
+        same canonical edge set."""
         g = random_graph(seed, t=4)
         rng = np.random.default_rng(seed)
         sources = np.unique(
@@ -149,7 +148,7 @@ class TestStorageContentIdentity:
         edges = {
             name: cls(sel).all_edges() for name, cls in FORMATS.items()
         }
-        assert set(edges) == {s.value for s in StorageChoice}
+        assert set(edges) == {"CSR", "O-CSR", "PMA"}
         ref = edges["O-CSR"]
         for name, e in edges.items():
             np.testing.assert_array_equal(e, ref)

@@ -6,6 +6,7 @@ result documents and a monkeypatched ``run_perf``.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,7 +63,6 @@ def canned_adaptive_cell(speedup=1.3, static_p50=2.0):
         "speedup_p50": speedup,
         "plan": {
             "kernels": {"batched-spmm": 3, "delta-condensed": 1},
-            "storages": {"DENSE": 4},
             "partition": "balanced",
             "thresholds": {"theta_s": -0.65, "theta_e": 0.35},
             "aggressiveness": 0.5,
@@ -184,6 +184,26 @@ class TestResultDocument:
         out = render_delta_table(cur, base)
         assert "adaptive T-GCN/GT p50" in out
         assert "-20.0%" in out  # 2.0ms -> 1.6ms against the baseline row
+
+    def test_committed_bench_file_reads_as_baseline(self):
+        """CI passes the newest committed BENCH file as ``--baseline``.
+        This one predates the dropped storage axis and dense kernel: it
+        still carries ``storages`` and ``dense_seconds_per_slot_dim``."""
+        path = Path(__file__).resolve().parents[2] / "BENCH_20260809T004858Z.json"
+        base = json.loads(path.read_text())
+        assert base["schema"] == SCHEMA
+        assert "storages" in base["adaptive"]["cells"][0]["plan"]
+        assert "dense_seconds_per_slot_dim" in base["adaptive"]["calibration"]
+        cur = canned_result(p50=20.0)
+        cur["adaptive"] = {
+            "calibration": {},
+            "cells": [canned_adaptive_cell(static_p50=20.0)],
+        }
+        out = render_delta_table(cur, base)
+        assert "events GT x1" in out
+        assert "stream T-GCN/GT p50" in out
+        assert "adaptive T-GCN/GT p50" in out
+        assert "batched-spmm" in render_perf_tables(base)
 
     def test_delta_table_with_no_overlap(self):
         base = canned_result()

@@ -174,3 +174,29 @@ class TestConcurrentEngineSkipping:
         model = make_model("T-GCN", graph.dim, 24)
         with pytest.raises(ValueError):
             ConcurrentEngine(model, window_size=0)
+
+
+class TestPaperCounters:
+    """The word/MAC counters the cycle simulator consumes, pinned on one
+    seeded GT graph.  CD-GCN at hidden 24 takes a shrinking first layer
+    (32 -> 24, combine before aggregate) and two square ones, so both
+    changed-set layer paths are counted."""
+
+    @pytest.mark.parametrize(
+        "name, hidden, expected",
+        [
+            ("CD-GCN", 24, (8635824, 11284224, 8824336, 448168)),
+            ("GC-LSTM", 16, (3784224, 3518976, 3910272, 349776)),
+        ],
+    )
+    def test_counters_pinned(self, name, hidden, expected):
+        g = load_dataset("GT", num_snapshots=8, seed=3)
+        m = ConcurrentEngine(
+            make_model(name, g.dim, hidden, seed=5), window_size=4
+        ).run(g).metrics
+        assert (
+            m.aggregation_macs,
+            m.combination_macs,
+            m.feature_words,
+            m.structure_words,
+        ) == expected
