@@ -22,7 +22,7 @@ import numpy as np
 from ..check.shapes import contract
 from ..formats.base import WindowSelection
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import build_csr
+from ..graphs.snapshot import PTR_DTYPE, VID_DTYPE
 from .classify import VertexClass, WindowClassification, classify_window
 
 __all__ = ["AffectedSubgraph", "extract_affected_subgraph", "union_adjacency"]
@@ -30,14 +30,26 @@ __all__ = ["AffectedSubgraph", "extract_affected_subgraph", "union_adjacency"]
 
 @contract("_ -> (m,) i64, (e,) i32")
 def union_adjacency(window: DynamicGraph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the union of every snapshot's edges (deduplicated)."""
+    """CSR of the union of every snapshot's edges (deduplicated).
+
+    Each snapshot contributes its keys ``src*n + dst`` in CSR order.  CSR
+    rows are sorted, so the keys are sorted runs and the stable sort
+    (timsort on int64) only merges them; adjacent duplicates are dropped
+    and the CSR is read straight off the merged keys.  The result equals
+    ``build_csr`` over the ``np.unique`` of all keys, byte for byte.
+    """
     n = window.num_vertices
-    keys = []
-    for s in window:
-        src = np.repeat(np.arange(n, dtype=np.int64), s.degrees)
-        keys.append(src * n + s.indices.astype(np.int64))
-    merged = np.unique(np.concatenate(keys)) if keys else np.empty(0, np.int64)
-    return build_csr(n, merged // n, merged % n)
+    row_base = np.arange(n, dtype=np.int64) * n
+    keys = [np.repeat(row_base, s.degrees) + s.indices for s in window]
+    merged = np.sort(np.concatenate(keys), kind="stable")
+    if merged.size:
+        keep = np.empty(merged.shape, dtype=bool)
+        keep[0] = True
+        np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+        merged = merged[keep]
+    indptr = np.zeros(n + 1, dtype=PTR_DTYPE)
+    np.cumsum(np.bincount(merged // n, minlength=n), out=indptr[1:])
+    return indptr, (merged % n).astype(VID_DTYPE)
 
 
 @dataclass

@@ -36,6 +36,12 @@ VID_DTYPE = np.int32  # vertex ids
 PTR_DTYPE = np.int64  # CSR row pointers
 FEAT_DTYPE = np.float32  # vertex features
 
+# ``CSRSnapshot.aggregate`` sums neighbour rank k with one gather-add while at
+# least this many rows have degree > k; the hub rows' remaining edges go
+# through one ``np.add.at``.  Any value gives the same bytes, only the speed
+# changes.
+_RANK_MIN_ROWS = 64
+
 
 # src/dst carry independent symbols (and any dtype) on purpose: the body
 # owns the equal-length ValueError and the asarray coercion, and the
@@ -253,9 +259,19 @@ class CSRSnapshot:
         r"""Mean-normalised neighbourhood aggregation
         :math:`\hat D^{-1}(A + I)\, x`.
 
-        This is the GNN module's "aggregation" operation (paper Fig. 1(b)):
-        one gather per edge plus an ``np.add.at`` scatter — the exact access
-        pattern the accelerator's APE adder trees execute.
+        This is the GNN module's "aggregation" operation (paper Fig. 1(b)).
+        As on the accelerator's APE adder trees, each row receives its
+        neighbours' features in CSR order, summed from zero.  The sum runs
+        *rank-major*: rows with edges are ordered by degree (descending,
+        stable), and rank ``k`` adds every such row's ``k``-th neighbour
+        with one gather-add over the prefix of rows whose degree exceeds
+        ``k``.  Once fewer than ``_RANK_MIN_ROWS`` rows remain, the hub
+        rows' remaining edges go through one flattened ``np.add.at``, still
+        in CSR order.  Each output element therefore sees exactly the
+        additions, in exactly the order, of a per-edge ``np.add.at``
+        scatter, so the result is byte-identical to it
+        (``tests/graphs/test_masked_aggregate.py`` keeps that scatter as
+        the oracle).
 
         ``rows`` (a boolean vertex mask) restricts the work to those rows:
         only their edges are summed, in CSR order, and only they get the
@@ -273,16 +289,32 @@ class CSRSnapshot:
         layer" would be an approximation instead of an identity.
         """
         coeff = self.mean_norm_coeffs(add_self_loops=add_self_loops)
-        out = np.zeros_like(x)
-        if self.num_edges:
-            src = np.repeat(
-                np.arange(self.num_vertices, dtype=VID_DTYPE), self.degrees
-            )
-            tgt = self.indices
-            if rows is not None:
-                sel = rows[src]
-                src, tgt = src[sel], tgt[sel]
-            np.add.at(out, src, x[tgt])
+        # C order whatever x's layout, so out.reshape(-1) below is a view
+        out = np.zeros(x.shape, dtype=x.dtype)
+        deg = self.degrees if rows is None else np.where(rows, self.degrees, 0)
+        busy = np.flatnonzero(deg)
+        if busy.size:
+            order = busy[np.argsort(-deg[busy], kind="stable")]
+            d = deg[order]
+            starts = self.indptr[order]
+            # ranks 0..k_max-1 each cover >= _RANK_MIN_ROWS rows
+            k_max = int(d[_RANK_MIN_ROWS - 1]) if d.size >= _RANK_MIN_ROWS else 0
+            acc = np.zeros((d.size, x.shape[1]), dtype=x.dtype)
+            widths = np.searchsorted(-d, -np.arange(k_max), side="left")
+            for k, n_k in enumerate(widths):
+                acc[:n_k] += x[self.indices[starts[:n_k] + k]]
+            out[order] = acc
+            # hub tail: edges k_max.. of the rows with degree > k_max
+            n_hub = int(np.searchsorted(-d, -k_max, side="left"))
+            lens = d[:n_hub] - k_max
+            if lens.size:
+                skip = starts[:n_hub] + k_max - (np.cumsum(lens) - lens)
+                edge = np.repeat(skip, lens) + np.arange(lens.sum())
+                row = np.repeat(order[:n_hub], lens)
+                flat = (row * x.shape[1])[:, None] + np.arange(x.shape[1])
+                np.add.at(
+                    out.reshape(-1), flat.reshape(-1), x[self.indices[edge]].reshape(-1)
+                )
         if add_self_loops:
             if rows is None:
                 out += x

@@ -18,9 +18,21 @@ from repro.graphs import (
     CSRSnapshot,
     DynamicGraph,
     DynamicGraphSpec,
+    build_csr,
     generate_dynamic_graph,
     load_dataset,
 )
+
+
+def union_oracle(window):
+    """The per-key ``np.unique`` + ``build_csr`` union the kernel answers to."""
+    n = window.num_vertices
+    keys = []
+    for s in window:
+        src = np.repeat(np.arange(n, dtype=np.int64), s.degrees)
+        keys.append(src * n + s.indices.astype(np.int64))
+    merged = np.unique(np.concatenate(keys))
+    return build_csr(n, merged // n, merged % n)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +54,46 @@ class TestUnionAdjacency:
         for v in range(0, window.num_vertices, 131):
             row = indices[indptr[v] : indptr[v + 1]]
             assert len(np.unique(row)) == len(row)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=1, max_value=60),
+        num_snapshots=st.integers(min_value=1, max_value=4),
+        pool_size=st.sampled_from([0, 5, 80]),
+        absent_frac=st.sampled_from([0.0, 0.3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unique_oracle(self, seed, n, num_snapshots, pool_size, absent_frac):
+        # snapshots draw from one shared edge pool (edges repeat across
+        # snapshots) plus fresh edges; one of them is edgeless
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, n, size=(pool_size, 2))
+        edgeless = rng.integers(0, num_snapshots)
+        snaps = []
+        for t in range(num_snapshots):
+            present = rng.random(n) >= absent_frac
+            edges = np.concatenate([
+                pool[rng.random(pool_size) < 0.6],
+                rng.integers(0, n, size=(rng.integers(0, 20), 2)),
+            ])
+            keep = (edges[:, 0] != edges[:, 1]) & present[edges].all(axis=1)
+            if t == edgeless:
+                keep[:] = False
+            snaps.append(
+                CSRSnapshot.from_edges(n, edges[keep], present=present, timestamp=t)
+            )
+        window = DynamicGraph(snaps)
+        got = union_adjacency(window)
+        want = union_oracle(window)
+        for g, w, dtype in zip(got, want, (np.int64, np.int32)):
+            assert g.dtype == w.dtype == dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_loaded_window_matches_unique_oracle(self, window):
+        got = union_adjacency(window)
+        want = union_oracle(window)
+        assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                   for g, w in zip(got, want))
 
 
 class TestAffectedSubgraph:
